@@ -108,7 +108,7 @@ func main() {
 		tokenTick = flag.Duration("token-tick", 0,
 			"totem timer resolution; an idle-paced token moves up to a few ticks per hop (0 = default 2ms)")
 		fastPath = flag.String("fast-path", "auto",
-			"leader-ordered fast path: auto (2-member rings only), on, off")
+			"leader-ordered fast path: auto (every multi-member ring) or off (classic token ordering)")
 	)
 	flag.Parse()
 	if *name == "" {

@@ -351,6 +351,13 @@ func TestResourceManagerMaintainsMinReplicas(t *testing.T) {
 	if err := c.nodes["n1"].AwaitRecovered("ctr", "n2", 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// n1 observes the recovery at the set-state's position in the total
+	// order; n2 delivers that position on its own schedule (the leader
+	// delivers what it sequences before the followers receive it), so
+	// wait for n2 to reach it before looking at n2's hosts.
+	if err := c.nodes["n2"].AwaitRecovered("ctr", "n2", 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if !c.nodes["n2"].HostsReplica("ctr") {
 		t.Fatal("n2 must host the re-launched replica")
 	}

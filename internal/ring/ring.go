@@ -54,6 +54,15 @@ func (b *Buffer[T]) Each(f func(*T)) {
 	}
 }
 
+// At returns a pointer to the i-th oldest element (0 is the oldest); i
+// must be in [0, Len()). The pointer is valid until the next push or pop.
+func (b *Buffer[T]) At(i int) *T {
+	if i < 0 || i >= b.n {
+		panic("ring: index out of range")
+	}
+	return &b.buf[(b.head+i)%len(b.buf)]
+}
+
 // Peek returns the oldest element without removing it.
 func (b *Buffer[T]) Peek() (v T, ok bool) {
 	if b.n == 0 {

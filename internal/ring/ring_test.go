@@ -69,6 +69,36 @@ func TestPeek(t *testing.T) {
 	}
 }
 
+// TestAtIndexesAcrossWrap reads and updates elements in place by age,
+// across the circular wrap.
+func TestAtIndexesAcrossWrap(t *testing.T) {
+	var b Buffer[int]
+	for i := range 8 {
+		b.Push(i)
+	}
+	for range 5 {
+		b.Pop()
+	}
+	for i := 8; i < 12; i++ {
+		b.Push(i) // wraps: the storage holds 8
+	}
+	for i := range b.Len() {
+		if got := *b.At(i); got != 5+i {
+			t.Fatalf("At(%d) = %d, want %d", i, got, 5+i)
+		}
+	}
+	*b.At(0) = 50
+	if v, _ := b.Pop(); v != 50 {
+		t.Fatalf("update through At not visible: Pop = %d", v)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("At past the end did not panic")
+		}
+	}()
+	b.At(b.Len())
+}
+
 // TestPopReleasesElements verifies the reason the package exists: a
 // popped element must not stay reachable through the backing array.
 func TestPopReleasesElements(t *testing.T) {

@@ -129,7 +129,9 @@ func TestPackedFrameRetransmissionUnderLoss(t *testing.T) {
 // TestPackedFramesAcrossReformation covers packing around membership
 // changes: packed delivery before a member dies, packed delivery among the
 // survivors after the reformation, and packed delivery to a fresh joiner
-// whose first view carries Reset=true.
+// whose first view carries Reset=true. The bursts come from a follower, so
+// they take the default path of every multi-member ring: forwarded to the
+// leader ("a", the representative) in batches, which the leader packs.
 func TestPackedFramesAcrossReformation(t *testing.T) {
 	burst := func(p *Processor, tag string, n int) {
 		for i := 0; i < n; i++ {
@@ -152,7 +154,7 @@ func TestPackedFramesAcrossReformation(t *testing.T) {
 		awaitView(t, p, []string{"a", "b", "c"}, 5*time.Second)
 	}
 	const n = 40
-	burst(c.procs["a"], "one", n)
+	burst(c.procs["b"], "one", n)
 	for _, addr := range []string{"a", "b", "c"} {
 		check(collect(t, c.procs[addr], n, 10*time.Second), "one")
 	}
@@ -160,7 +162,7 @@ func TestPackedFramesAcrossReformation(t *testing.T) {
 	c.kill("c")
 	awaitView(t, c.procs["a"], []string{"a", "b"}, 5*time.Second)
 	awaitView(t, c.procs["b"], []string{"a", "b"}, 5*time.Second)
-	burst(c.procs["a"], "two", n)
+	burst(c.procs["b"], "two", n)
 	check(collect(t, c.procs["a"], n, 10*time.Second), "two")
 	check(collect(t, c.procs["b"], n, 10*time.Second), "two")
 
@@ -170,12 +172,16 @@ func TestPackedFramesAcrossReformation(t *testing.T) {
 		t.Fatalf("fresh joiner's view not Reset: %+v", vd)
 	}
 	awaitView(t, c.procs["a"], []string{"a", "b", "d"}, 5*time.Second)
-	burst(c.procs["a"], "three", n)
+	awaitView(t, c.procs["b"], []string{"a", "b", "d"}, 5*time.Second)
+	burst(c.procs["b"], "three", n)
 	check(collect(t, d, n, 10*time.Second), "three")
 	check(collect(t, c.procs["a"], n, 10*time.Second), "three")
 
 	if st := c.procs["a"].Stats(); st.PackedChunks == 0 {
 		t.Fatal("expected packed frames across the bursts")
+	}
+	if st := c.procs["b"].Stats(); st.ForwardedChunks < 3*n {
+		t.Fatalf("follower forwarded %d chunks, want >= %d", st.ForwardedChunks, 3*n)
 	}
 }
 

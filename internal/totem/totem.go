@@ -143,6 +143,14 @@ type Stats struct {
 	// ForwardedChunks counts chunks this member forwarded to the
 	// fast-path leader for sequencing (first transmissions and retries).
 	ForwardedChunks uint64
+	// GCSeq is the garbage-collection point: the highest sequence number
+	// every member held on a completed token rotation. The store keeps
+	// nothing at or below it.
+	GCSeq uint64
+	// ForwardWindowPeak is the most forward frames this member has had in
+	// flight to the fast-path leader, with chunks not yet delivered, at
+	// one time (the follower window, at most maxHeldForwards).
+	ForwardWindowPeak uint64
 }
 
 // PackingFlag is a three-valued toggle whose zero value means "on", so
@@ -169,56 +177,45 @@ func (f PackingFlag) Enabled() bool { return f != PackingOff }
 // multicasts speculatively instead of waiting for a token visit.
 // Delivery still happens only at the totally-ordered point; the token
 // keeps rotating behind the fast path to aggregate aru, serve
-// retransmissions and garbage-collect.
+// retransmissions and garbage-collect. Two windows keep the fast path
+// within what the ring can absorb: the leader sequences at once only up
+// to windowEnd, a bounded distance above the followers' aru, and a
+// follower keeps at most maxHeldForwards forward frames in flight with
+// chunks not yet delivered back (see doc/PROTOCOL.md).
 type FastPathMode int
 
 const (
-	// FastPathAuto (the zero value) enables the fast path only on
-	// 2-member rings — the configuration whose token-wait cliff it exists
-	// to close — and uses classic token rotation elsewhere.
+	// FastPathAuto (the zero value) enables leader ordering on every
+	// multi-member ring; a single-member ring self-delivers on its token.
 	FastPathAuto FastPathMode = iota
-	// FastPathOff forces classic token-ordered sequencing everywhere.
+	// FastPathOff forces classic token-ordered sequencing everywhere (the
+	// ablation baseline).
 	FastPathOff
-	// FastPathOn enables leader ordering on any multi-member ring.
-	FastPathOn
 )
 
 // enabled reports whether the mode activates leader ordering for a ring
 // of the given size.
 func (f FastPathMode) enabled(members int) bool {
-	switch f {
-	case FastPathOff:
-		return false
-	case FastPathOn:
-		return members >= 2
-	default:
-		return members == 2
-	}
+	return f != FastPathOff && members >= 2
 }
 
 // String renders the mode the way the -fast-path flag spells it.
 func (f FastPathMode) String() string {
-	switch f {
-	case FastPathOff:
+	if f == FastPathOff {
 		return "off"
-	case FastPathOn:
-		return "on"
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
-// ParseFastPathMode parses "auto", "off" or "on" (the -fast-path flag).
+// ParseFastPathMode parses "auto" or "off" (the -fast-path flag).
 func ParseFastPathMode(s string) (FastPathMode, error) {
 	switch s {
 	case "auto", "":
 		return FastPathAuto, nil
 	case "off":
 		return FastPathOff, nil
-	case "on":
-		return FastPathOn, nil
 	}
-	return FastPathAuto, fmt.Errorf("totem: unknown fast-path mode %q (want auto, off or on)", s)
+	return FastPathAuto, fmt.Errorf("totem: unknown fast-path mode %q (want auto or off)", s)
 }
 
 // Config configures a Processor. Zero durations get defaults sized for
@@ -255,7 +252,7 @@ type Config struct {
 	// set PackingOff for the ablation baseline.
 	Packing PackingFlag
 	// FastPath gates the leader-ordered fast path (see FastPathMode). The
-	// zero value enables it on 2-member rings only.
+	// zero value enables it on every multi-member ring.
 	FastPath FastPathMode
 	// IdleGrace is how long after the last foreground activity the token
 	// keeps rotating at wire speed before idle pacing starts (default
@@ -426,18 +423,41 @@ type Processor struct {
 	// Leader-ordered fast path state (see FastPathMode). fastPath and
 	// leader are fixed per ring at install time. Followers keep submitted
 	// chunks in pending until their sequenced copies are delivered:
-	// headFseq is the forward sequence number of the pending head and
-	// fwdCount the number of chunks (from the head) already forwarded
-	// once; the leader's fwdMarks holds the per-sender in-order acceptance
-	// watermark, and fwdHeld parks frames that arrived ahead of a gap
-	// (the medium reorders back-to-back unicasts) until the gap fills.
+	// headFseq is the forward sequence number of the pending head,
+	// fwdCount the number of chunks (from the head) forwarded and not yet
+	// delivered, and fwdFrames the chunk counts of the forward frames
+	// carrying them, oldest first — at most maxHeldForwards frames, the
+	// follower window. lastFwdAt starts the retry
+	// clock: it is reset when the head is (re)sent or moves (retryHead
+	// remembers where the head was), never by later forwards, so steady
+	// submissions cannot postpone the retry of a lost head. The leader's
+	// fwdMarks holds the per-sender in-order acceptance watermark, fwdHeld
+	// parks frames that arrived ahead of a gap (the medium reorders
+	// back-to-back unicasts) until the gap fills, and peerAru holds the
+	// freshest aru known for each follower — from the token, or
+	// piggybacked on its forwards — which anchors the leader window.
 	fastPath  bool
 	leader    string
 	headFseq  uint64
 	fwdCount  int
+	fwdFrames ring.Buffer[int]
 	lastFwdAt time.Time
+	retryHead uint64
 	fwdMarks  map[string]uint64
 	fwdHeld   map[string]map[uint64]*forwardMsg
+	peerAru   map[string]uint64
+
+	// aruReported is the aru a follower last sent the leader, on a
+	// forward frame or a bare report (see reportAru).
+	aruReported uint64
+
+	// rtrHorizon is the highest sequence number a token advertised to
+	// this member at least rtrDelay ago, and rtrMarks the later visits'
+	// (time, token sequence) pairs: retransmission requests stop at the
+	// horizon, so a frame multicast moments before the token arrived is
+	// not requested while it is still on its way.
+	rtrHorizon uint64
+	rtrMarks   ring.Buffer[rtrMark]
 
 	nMulticasts atomic.Uint64
 	nChunks     atomic.Uint64
@@ -453,6 +473,8 @@ type Processor struct {
 	nPacedHops  atomic.Uint64
 	nFastChunks atomic.Uint64
 	nFwdChunks  atomic.Uint64
+	nGCSeq      atomic.Uint64
+	nFwdPeak    atomic.Uint64
 
 	// Metrics export (nil-safe via a private registry when unconfigured).
 	mPktsIn   *obs.Counter
@@ -594,26 +616,30 @@ func (p *Processor) Views() <-chan Membership { return p.views.Out() }
 // Stats returns a snapshot of the protocol counters.
 func (p *Processor) Stats() Stats {
 	return Stats{
-		Multicasts:      p.nMulticasts.Load(),
-		ChunksSent:      p.nChunks.Load(),
-		Retransmits:     p.nRetrans.Load(),
-		TokenRotations:  p.nRotations.Load(),
-		Deliveries:      p.nDeliveries.Load(),
-		ViewChanges:     p.nViews.Load(),
-		Tombstones:      p.nTombstones.Load(),
-		DataFrames:      p.nDataFrames.Load(),
-		PackedChunks:    p.nPacked.Load(),
-		HurriesSent:     p.nHurrySent.Load(),
-		HurriesReceived: p.nHurryRecv.Load(),
-		PacedHops:       p.nPacedHops.Load(),
-		FastPathChunks:  p.nFastChunks.Load(),
-		ForwardedChunks: p.nFwdChunks.Load(),
+		Multicasts:        p.nMulticasts.Load(),
+		ChunksSent:        p.nChunks.Load(),
+		Retransmits:       p.nRetrans.Load(),
+		TokenRotations:    p.nRotations.Load(),
+		Deliveries:        p.nDeliveries.Load(),
+		ViewChanges:       p.nViews.Load(),
+		Tombstones:        p.nTombstones.Load(),
+		DataFrames:        p.nDataFrames.Load(),
+		PackedChunks:      p.nPacked.Load(),
+		HurriesSent:       p.nHurrySent.Load(),
+		HurriesReceived:   p.nHurryRecv.Load(),
+		PacedHops:         p.nPacedHops.Load(),
+		FastPathChunks:    p.nFastChunks.Load(),
+		ForwardedChunks:   p.nFwdChunks.Load(),
+		GCSeq:             p.nGCSeq.Load(),
+		ForwardWindowPeak: p.nFwdPeak.Load(),
 	}
 }
 
 // PendingChunks reports the current depth of this member's sequencing
-// queue: chunks submitted locally and not yet multicast on a token visit.
-// Zero means everything this member submitted has reached the wire — the
+// queue: chunks submitted locally and not yet multicast on a token visit
+// (on a fast-path follower, not yet delivered back; on the fast-path
+// leader, also forwards held back by the leader window). Zero means
+// everything this member submitted has reached the wire — the
 // self-clocking signal the state-transfer streamer paces on.
 func (p *Processor) PendingChunks() int64 { return p.mPending.Value() }
 
@@ -694,8 +720,16 @@ func (p *Processor) run() {
 		case <-p.closeCh:
 			return
 		case sub := <-p.submitCh:
+			// Take every submission already queued behind this one, so a
+			// burst is sequenced (and packed) as one batch.
 			p.enqueue(sub)
-			p.kick(sub.background, time.Now())
+			background := sub.background
+			for n := len(p.submitCh); n > 0; n-- {
+				sub = <-p.submitCh
+				p.enqueue(sub)
+				background = background && sub.background
+			}
+			p.kick(background, time.Now())
 		case pkt, ok := <-p.tr.Recv():
 			if !ok {
 				return
@@ -734,6 +768,12 @@ func (p *Processor) enqueue(sub submission) {
 func (p *Processor) handlePacket(pkt Packet, now time.Time) {
 	p.mPktsIn.Inc()
 	p.mBytesIn.Add(uint64(len(pkt.Payload)))
+	if pkt.From == p.addr && len(pkt.Payload) > 0 && (pkt.Payload[0] == ptData || pkt.Payload[0] == ptPacked) {
+		// Our own data frame, looped back by the medium: it went into the
+		// store when we sent it, so there is nothing to decode. Under
+		// leader ordering that is every frame the leader multicasts.
+		return
+	}
 	msg, err := decodePacket(pkt.Payload)
 	if err != nil {
 		return // corrupt frame: drop, like a bad checksum
@@ -765,11 +805,12 @@ func (p *Processor) kick(background bool, now time.Time) {
 		return
 	}
 	if p.fastPath {
-		// Leader ordering: no token involvement on the submit path at all.
+		// Leader ordering: no token involvement on the submit path while
+		// the windows are open.
 		if p.addr == p.leader {
 			p.fastDrain(now)
 		} else {
-			p.forwardPending(now, p.fwdCount)
+			p.pumpForwards(now)
 		}
 		return
 	}
@@ -834,6 +875,19 @@ func (p *Processor) handleData(m *dataMsg, now time.Time) {
 		p.seqHigh = m.Seq
 	}
 	p.advanceAru()
+	p.pumpForwards(now)
+	p.reportAru()
+}
+
+// reportAru sends the leader a bare aru report — a forward frame without
+// chunks — once this follower has delivered a quarter of the leader window
+// past its last report, so the window advances even while the follower
+// has nothing to forward.
+func (p *Processor) reportAru() {
+	if p.fastPath && p.addr != p.leader && p.myAru >= p.aruReported+p.leaderWindow()/4 {
+		p.aruReported = p.myAru
+		p.sendMsg(p.leader, &forwardMsg{Ring: p.ring, Sender: p.addr, Aru: p.myAru})
+	}
 }
 
 // handleAnnounce reacts to a ring beacon: a beacon naming a ring we are
@@ -871,11 +925,16 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	if tok.Seq > p.seqHigh {
 		p.seqHigh = tok.Seq
 	}
-	if p.fastPath && p.addr == p.leader && p.seqHigh > tok.Seq {
+	fastLeader := p.fastPath && p.addr == p.leader
+	if fastLeader {
 		// Fast-path sequencing ran ahead of the token; advertise the high
 		// mark so followers can request anything the speculative
-		// multicasts lost.
+		// multicasts lost. The arriving aru is a lower bound on every
+		// follower's: it refreshes the leader window's anchor.
 		tok.Seq = p.seqHigh
+		for m, a := range p.peerAru {
+			p.peerAru[m] = max(a, tok.Aru)
+		}
 	}
 
 	// 1. Serve retransmission requests we can satisfy.
@@ -897,13 +956,23 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 		rtrDone = time.Now()
 	}
 
-	// 2. Request what we are missing.
+	// 2. Request what we are missing — up to the sequence number a token
+	// advertised at least rtrDelay ago. Anything above it was multicast
+	// more recently and is most likely still in flight (a busy ring's
+	// token overtakes data queued on the medium); if it was lost, a later
+	// visit requests it.
 	rtr := unsatisfied
 	have := make(map[uint64]bool, len(rtr))
 	for _, s := range rtr {
 		have[s] = true
 	}
-	for s := p.myAru + 1; s <= tok.Seq && len(rtr) < maxRtrPerToken; s++ {
+	p.rtrMarks.Push(rtrMark{at: now, seq: tok.Seq})
+	for m, ok := p.rtrMarks.Peek(); ok && now.Sub(m.at) >= p.rtrDelay(); m, ok = p.rtrMarks.Peek() {
+		p.rtrHorizon = max(p.rtrHorizon, m.seq)
+		p.rtrMarks.Pop()
+	}
+	horizon := min(tok.Seq, p.rtrHorizon)
+	for s := p.myAru + 1; s <= horizon && len(rtr) < maxRtrPerToken; s++ {
 		if _, ok := p.store[s]; ok || have[s] {
 			continue
 		}
@@ -922,17 +991,21 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	p.advanceAru()
 
 	// 3. Multicast pending chunks while we hold the token. Fast-path
-	// followers never sequence: their pending queue is the
-	// un-acknowledged forward window, drained as sequenced copies are
-	// delivered; anything not yet forwarded goes to the leader now.
+	// followers never sequence: their pending queue is the forward
+	// window plus what waits behind it, drained as sequenced copies are
+	// delivered. The fast-path leader first sequences what its window
+	// admits, then spends the classic per-visit allowance on whatever the
+	// window held back.
 	pendingBefore := p.pending.Len()
 	var sent, fgSent int
 	if p.fastPath && p.addr != p.leader {
-		if p.pending.Len() > p.fwdCount {
-			p.forwardPending(now, p.fwdCount)
-		}
+		p.pumpForwards(now)
 	} else {
-		sent, fgSent = p.sendPending(tokenAlloc(tok), false)
+		if fastLeader {
+			p.fastDrain(now)
+			tok.Seq = p.seqHigh
+		}
+		sent, fgSent = p.sendPending(&tok.Seq, p.cfg.MaxPerToken, false)
 	}
 
 	// Token idling: IdleHops counts consecutive hops on which no holder
@@ -940,7 +1013,11 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	// pacer (paceTicks) combines with the local IdleGrace window.
 	// Background chunks (audit marks) ride the token without resetting
 	// the counter, so a quiescent ring stays paced across audit epochs.
-	if served > 0 || fgSent > 0 || len(tok.Rtr) > 0 {
+	// Under leader ordering, foreground chunks sequenced or forwarded
+	// since the previous visit count too: the ring is busy even though
+	// the token carried none of it.
+	busy := p.fastPath && p.lastActivityAt.After(prevVisit)
+	if served > 0 || fgSent > 0 || len(tok.Rtr) > 0 || busy {
 		tok.IdleHops = 0
 		p.lastActivityAt = now
 	} else if tok.IdleHops < idleHopsCap {
@@ -965,6 +1042,7 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 			delete(p.store, s)
 		}
 		p.gcLow = tok.GCSeq
+		p.nGCSeq.Store(p.gcLow)
 	}
 
 	// 6. Forward the token, then profile the visit (the forward decides
@@ -999,36 +1077,44 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	}
 }
 
+// rtrMark records the sequence number a token advertised on one visit.
+type rtrMark struct {
+	at  time.Time
+	seq uint64
+}
+
+// rtrDelay is how long a sequence number must have been advertised
+// before a member missing it asks for a retransmission: a quarter of the
+// token-resend period, well above how long a frame queues on a busy
+// medium and well below how long a lost frame may stay missing.
+func (p *Processor) rtrDelay() time.Duration { return p.cfg.TokenResend / 4 }
+
 // Rotations returns up to max most recent token-rotation profiler
 // samples, oldest first (nil when profiling is disabled).
 func (p *Processor) Rotations(max int) []obs.TokenRotation {
 	return p.rotations.Last(max)
 }
 
-// tokenAlloc is the classic sequence allocator: each frame takes the
-// token's next sequence number.
-func tokenAlloc(tok *tokenMsg) func() uint64 {
-	return func() uint64 { tok.Seq++; return tok.Seq }
-}
-
-// sendPending multicasts queued chunks under sequence numbers from alloc,
-// bounded by MaxPerToken chunks. It returns how many chunks were sent and
-// how many of those were foreground (non-background) — the count that
-// feeds the idle pacer. With packing enabled, consecutive sub-MTU chunks
-// — possibly belonging to different application messages — share one
-// frame and one sequence number; the conservative wireCost bound keeps
-// each packed frame within the MTU without a trial encode. fast marks
-// frames sequenced by the leader-ordered fast path (counters only; the
-// wire format is identical).
-func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent int) {
+// sendPending multicasts queued chunks, bounded by budget chunks, each
+// frame taking the sequence number after *seq (the token's on a classic
+// visit, seqHigh on the fast path). It returns how many chunks were sent
+// and how many of those were this member's own foreground chunks — the
+// count that feeds the idle pacer (a leader's accepted forwards already
+// marked foreground activity when they arrived). With packing enabled,
+// consecutive sub-MTU chunks — possibly belonging to different
+// application messages and senders — share one frame and one sequence
+// number; the conservative wireCost bound keeps each packed frame within
+// the MTU without a trial encode. fast marks frames sequenced by the
+// leader-ordered fast path (counters only; the wire format is identical).
+func (p *Processor) sendPending(seq *uint64, budget int, fast bool) (sent, fgSent int) {
 	mtu := p.tr.MTU()
-	for sent < p.cfg.MaxPerToken && p.pending.Len() > 0 {
+	for sent < budget && p.pending.Len() > 0 {
 		first, _ := p.pending.Pop()
 		sent++
 		frame := &dataMsg{Chunks: []chunk{first}}
 		size := packedFrameOverhead + len(p.ring.Rep) + first.wireCost()
 		if p.packing {
-			for sent < p.cfg.MaxPerToken {
+			for sent < budget {
 				next, ok := p.pending.Peek()
 				if !ok || size+next.wireCost() > mtu {
 					break
@@ -1039,8 +1125,9 @@ func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent in
 				size += next.wireCost()
 			}
 		}
+		*seq++
 		frame.Ring = p.ring
-		frame.Seq = alloc()
+		frame.Seq = *seq
 		p.store[frame.Seq] = frame
 		if frame.Seq > p.seqHigh {
 			p.seqHigh = frame.Seq
@@ -1056,6 +1143,9 @@ func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent in
 		}
 		for i := range frame.Chunks {
 			c := &frame.Chunks[i]
+			if c.Sender != p.addr {
+				continue // an accepted forward: its sender traces it
+			}
 			meta, ok := p.sendTimes[c.MsgID]
 			if !ok || !meta.background {
 				fgSent++
@@ -1079,20 +1169,51 @@ func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent in
 	return sent, fgSent
 }
 
-// fastDrain sequences locally enqueued chunks immediately — the
-// leader-ordered fast path's submit side. The leader stamps and
+// fastDrain sequences queued chunks — the leader's own and accepted
+// forwards, in arrival order — immediately, while the leader window is
+// open: the leader-ordered fast path's submit side. The leader stamps and
 // multicasts without waiting for a token visit; the rotating token still
 // aggregates aru, serves retransmissions and garbage-collects behind it.
+// Chunks beyond the window wait for the leader's next token visit.
 func (p *Processor) fastDrain(now time.Time) {
 	for p.pending.Len() > 0 {
-		sent, fgSent := p.sendPending(func() uint64 { p.seqHigh++; return p.seqHigh }, true)
-		if fgSent > 0 {
-			p.lastActivityAt = now
-		}
-		if sent == 0 {
+		end := p.windowEnd()
+		if p.seqHigh >= end {
 			return
 		}
+		room := end - p.seqHigh
+		// A frame carries at least one chunk, so a chunk budget of room
+		// never overshoots the window.
+		if _, fgSent := p.sendPending(&p.seqHigh, int(min(room, uint64(p.cfg.MaxPerToken))), true); fgSent > 0 {
+			p.lastActivityAt = now
+		}
 	}
+}
+
+// windowEnd is the highest sequence number the fast-path leader may
+// assign without a token visit: the leader window above the lowest aru
+// known among the followers. Followers report their aru at least every
+// quarter window they deliver (reportAru), so the window stays open while
+// they keep up; a follower that falls behind holds the leader to its
+// pace, and its delivery backlog to about one window, instead of letting
+// the leader's local clients run ahead of the ring.
+func (p *Processor) windowEnd() uint64 {
+	base := p.myAru
+	for _, a := range p.peerAru {
+		base = min(base, a)
+	}
+	return base + p.leaderWindow()
+}
+
+// leaderWindow is the leader window in frames: half a follower window
+// (maxHeldForwards frames) per two members. Every frame the leader runs
+// ahead of a lagging follower is latency that follower's own clients pay
+// twice (request and reply), so small rings keep it to half a follower
+// window; larger rings widen it so that the leader's report load — each
+// follower reports once per quarter window — stays about half a report
+// per frame whatever the ring size.
+func (p *Processor) leaderWindow() uint64 {
+	return uint64(maxHeldForwards / 2 * max(1, len(p.members)/2))
 }
 
 func (p *Processor) forwardToken(tok *tokenMsg, now time.Time) {
@@ -1103,7 +1224,7 @@ func (p *Processor) forwardToken(tok *tokenMsg, now time.Time) {
 		// Single-member ring: drain everything pending, then pace the
 		// self-rotation (wire speed would be a hot loop).
 		for p.pending.Len() > 0 {
-			p.sendPending(tokenAlloc(tok), false)
+			p.sendPending(&tok.Seq, p.cfg.MaxPerToken, false)
 		}
 		p.park(tok, now, max(1, p.paceTicks(tok, now)))
 		return
@@ -1178,10 +1299,25 @@ func (p *Processor) releaseParked(now time.Time) {
 		if p.fastPath && p.seqHigh > tok.Seq {
 			tok.Seq = p.seqHigh
 		}
-		if _, fgSent := p.sendPending(tokenAlloc(tok), false); fgSent > 0 {
+		before, start := p.pending.Len(), time.Now()
+		sent, fgSent := p.sendPending(&tok.Seq, p.cfg.MaxPerToken, false)
+		if fgSent > 0 {
 			tok.IdleHops = 0
 			p.lastActivityAt = now
 		}
+		// The drain belongs to the visit that parked the token: fold it
+		// into that visit's profile sample.
+		visit, took := p.lastTokenAt, time.Since(start)
+		p.rotations.AmendLast(func(r *obs.TokenRotation) {
+			if !r.At.Equal(visit) {
+				return
+			}
+			us := float64(took.Nanoseconds()) / 1e3
+			r.HoldUs += us
+			r.SendUs += us
+			r.ChunksSent += sent
+			r.PendingBefore, r.PendingAfter = before, p.pending.Len()
+		})
 	}
 	succ := p.successor()
 	if succ == p.addr {
@@ -1199,37 +1335,57 @@ func (p *Processor) successor() string {
 	return p.members[(i+1)%len(p.members)]
 }
 
+// pumpForwards forwards whatever the follower window admits: pending
+// chunks not yet forwarded, while fewer than maxHeldForwards forward
+// frames are undelivered. Deliveries acknowledge the head and reopen the
+// window, so a burst streams to the leader at the rate the ring delivers
+// it instead of all at once, and chunks that queue meanwhile leave packed
+// into full frames.
+func (p *Processor) pumpForwards(now time.Time) {
+	if p.fastPath && p.addr != p.leader && p.fwdCount < p.pending.Len() && p.fwdFrames.Len() < maxHeldForwards {
+		p.forwardPending(now, p.fwdCount)
+	}
+}
+
 // forwardPending unicasts pending chunks from position from onward to the
-// fast-path leader for immediate sequencing, splitting across MTU-sized
-// forward frames. Each chunk carries a per-ring forward sequence number
+// fast-path leader for immediate sequencing, packed into MTU-sized
+// forward frames, as many as the follower window has room for. Each
+// chunk carries a per-ring forward sequence number
 // (headFseq + position) that stays stable across retries, so the leader's
-// in-order acceptance window sequences every chunk exactly once no matter
-// how forwards are lost, duplicated or reordered. from == fwdCount sends
-// only new chunks (the submit path); from == 0 resends everything
-// un-acknowledged (the retry path, which must be cumulative: the leader
-// rejects out-of-order arrivals, so a lost frame's chunks have to be
-// re-offered before anything after them).
+// in-order acceptance sequences every chunk exactly once no matter how
+// forwards are lost, duplicated or reordered. from == fwdCount sends only
+// new chunks (the submit and delivery paths); from == 0 resends the window
+// (the retry path, which must start at the head: the leader only
+// sequences in order, so a lost frame's chunks have to be re-offered
+// before anything after them; packing from the head fits at least as many
+// chunks into the window's frames as before). Every frame piggybacks this
+// member's aru, the fresher anchor for the leader window.
 func (p *Processor) forwardPending(now time.Time, from int) {
 	n := p.pending.Len()
-	if n == 0 || from >= n {
+	if from >= n {
 		return
 	}
-	p.lastFwdAt = now
+	if from == 0 {
+		p.lastFwdAt = now
+		p.retryHead = p.headFseq
+		for p.fwdFrames.Len() > 0 {
+			p.fwdFrames.Pop()
+		}
+	}
+	p.aruReported = p.myAru
 	mtu := p.tr.MTU()
 	overhead := fwdFrameOverhead + len(p.addr) + len(p.ring.Rep)
-	frame := &forwardMsg{Ring: p.ring, Sender: p.addr, Start: p.headFseq + uint64(from)}
+	frame := &forwardMsg{Ring: p.ring, Sender: p.addr, Start: p.headFseq + uint64(from), Aru: p.myAru}
 	size := overhead
-	i := 0
-	p.pending.Each(func(c *chunk) {
-		pos := i
-		i++
-		if pos < from {
-			return
-		}
+	pos := from
+	for ; pos < n; pos++ {
+		c := p.pending.At(pos)
 		if len(frame.Chunks) > 0 && size+c.wireCost() > mtu {
-			p.nFwdChunks.Add(uint64(len(frame.Chunks)))
-			p.sendMsg(p.leader, frame)
-			frame = &forwardMsg{Ring: p.ring, Sender: p.addr, Start: p.headFseq + uint64(pos)}
+			p.sendForward(frame)
+			if p.fwdFrames.Len() == maxHeldForwards {
+				break
+			}
+			frame = &forwardMsg{Ring: p.ring, Sender: p.addr, Start: p.headFseq + uint64(pos), Aru: p.myAru}
 			size = overhead
 		}
 		var flags byte
@@ -1254,60 +1410,78 @@ func (p *Processor) forwardPending(now time.Time, from int) {
 				}
 			}
 		}
-	})
-	if len(frame.Chunks) > 0 {
-		p.nFwdChunks.Add(uint64(len(frame.Chunks)))
-		p.sendMsg(p.leader, frame)
 	}
-	p.fwdCount = n
+	if pos == n {
+		p.sendForward(frame)
+	}
+	p.fwdCount = max(p.fwdCount, pos)
 }
 
-// maxHeldForwards bounds the per-sender buffer of out-of-order forward
-// frames the leader parks while a gap fills. Past the cap the frame is
-// dropped and the follower's cumulative retry covers it — the buffer only
-// has to absorb medium reordering, not sustained loss.
+// sendForward unicasts one forward frame to the leader and enters it in
+// the follower window.
+func (p *Processor) sendForward(frame *forwardMsg) {
+	p.sendMsg(p.leader, frame)
+	p.nFwdChunks.Add(uint64(len(frame.Chunks)))
+	p.fwdFrames.Push(len(frame.Chunks))
+	if w := uint64(p.fwdFrames.Len()); w > p.nFwdPeak.Load() {
+		p.nFwdPeak.Store(w)
+	}
+}
+
+// maxHeldForwards is the follower window: the most forward frames a
+// follower has in flight with chunks not yet delivered back to it. It
+// also bounds the per-sender buffer of out-of-order forward frames the
+// leader parks while a gap fills, so a follower's frames in flight always
+// fit. A frame past the cap (a retry duplicate) is dropped and the
+// follower's retry covers it.
 const maxHeldForwards = 32
 
-// handleForward sequences a follower's forwarded chunks — the leader side
+// handleForward accepts a follower's forwarded chunks — the leader side
 // of the fast path. The per-sender watermark admits only the chunks that
-// extend the contiguous forward sequence: duplicates (from cumulative
-// retries) fall below it and are dropped. A frame that arrives ahead of a
-// gap is parked in fwdHeld and sequenced the moment the gap fills — the
-// medium reorders back-to-back unicasts routinely, and bouncing the frame
-// to the follower's retry timer would turn every swap into a stall. Only
-// a genuinely lost frame leaves a hole for the cumulative retry.
-// Sequencing is therefore exactly-once and submission-ordered per sender.
+// extend the contiguous forward sequence: duplicates (from retries) fall
+// below it and are dropped. A frame that arrives ahead of a gap is parked
+// in fwdHeld and accepted the moment the gap fills — the medium reorders
+// back-to-back unicasts routinely, and bouncing the frame to the
+// follower's retry timer would turn every swap into a stall. Only a
+// genuinely lost frame leaves a hole for the retry. Accepted chunks join
+// the leader's sequencing queue behind its own, so sequencing is
+// exactly-once and submission-ordered per sender, and subject to the
+// leader window.
 func (p *Processor) handleForward(m *forwardMsg, now time.Time) {
 	if p.state != stateOperational || m.Ring != p.ring {
 		return
 	}
-	if !p.fastPath || p.addr != p.leader || len(m.Chunks) == 0 {
+	if !p.fastPath || p.addr != p.leader {
 		return // mode or leadership changed in flight; the sender will retry or fall back to the token
 	}
-	if !p.acceptForward(m, now) {
-		return
+	if a, ok := p.peerAru[m.Sender]; ok && m.Aru > a {
+		p.peerAru[m.Sender] = m.Aru
 	}
-	// Drain any parked frames the new watermark reaches.
-	for held := p.fwdHeld[m.Sender]; len(held) > 0; {
-		var next *forwardMsg
-		for s, f := range held {
-			if s <= p.fwdMarks[m.Sender]+1 {
-				next = f
-				delete(held, s)
+	if len(m.Chunks) > 0 && p.acceptForward(m, now) {
+		// Accept any parked frames the new watermark reaches.
+		for held := p.fwdHeld[m.Sender]; len(held) > 0; {
+			var next *forwardMsg
+			for s, f := range held {
+				if s <= p.fwdMarks[m.Sender]+1 {
+					next = f
+					delete(held, s)
+					break
+				}
+			}
+			if next == nil {
 				break
 			}
+			p.acceptForward(next, now)
 		}
-		if next == nil {
-			return
-		}
-		p.acceptForward(next, now)
+		p.mPending.Set(int64(p.pending.Len()))
 	}
+	p.fastDrain(now)
 }
 
 // acceptForward admits one forward frame against the sender's watermark:
 // chunks at or below it are dropped as duplicates, a frame strictly ahead
-// of it is parked in fwdHeld, and the in-order remainder is sequenced.
-// Returns whether the watermark advanced.
+// of it is parked in fwdHeld, and the in-order remainder joins the
+// sequencing queue. Returns whether the watermark advanced.
 func (p *Processor) acceptForward(m *forwardMsg, now time.Time) bool {
 	wm := p.fwdMarks[m.Sender]
 	if m.Start > wm+1 {
@@ -1329,48 +1503,15 @@ func (p *Processor) acceptForward(m *forwardMsg, now time.Time) bool {
 		return false
 	}
 	p.fwdMarks[m.Sender] = m.Start + uint64(len(m.Chunks)) - 1
-	foreground := false
-	for _, f := range m.Flags[skip:] {
-		if f&fwdFlagBackground == 0 {
-			foreground = true
+	for i := skip; i < len(m.Chunks); i++ {
+		if m.Flags[i]&fwdFlagBackground == 0 {
+			p.lastActivityAt = now
 		}
-	}
-	p.sequenceForwarded(m.Chunks[skip:], now, foreground)
-	return true
-}
-
-// sequenceForwarded stamps and multicasts chunks the fast-path leader
-// accepted from a follower, packing sub-MTU chunks exactly like the
-// token-visit path.
-func (p *Processor) sequenceForwarded(chunks []chunk, now time.Time, foreground bool) {
-	mtu := p.tr.MTU()
-	for start := 0; start < len(chunks); {
-		end := start + 1
-		size := packedFrameOverhead + len(p.ring.Rep) + chunks[start].wireCost()
-		if p.packing {
-			for end < len(chunks) && size+chunks[end].wireCost() <= mtu {
-				size += chunks[end].wireCost()
-				end++
-			}
-		}
-		p.seqHigh++
 		// Chunk payloads alias the forward packet's buffer, exactly as
 		// handleData's stored frames alias theirs.
-		frame := &dataMsg{Ring: p.ring, Seq: p.seqHigh, Chunks: chunks[start:end]}
-		start = end
-		p.store[frame.Seq] = frame
-		p.bcastMsg(frame)
-		p.nChunks.Add(uint64(len(frame.Chunks)))
-		p.nDataFrames.Add(1)
-		p.nFastChunks.Add(uint64(len(frame.Chunks)))
-		if len(frame.Chunks) > 1 {
-			p.nPacked.Add(uint64(len(frame.Chunks)))
-		}
+		p.pending.Push(m.Chunks[i])
 	}
-	if foreground {
-		p.lastActivityAt = now
-	}
-	p.advanceAru()
+	return true
 }
 
 // pendingView is a view change waiting for its stream position.
@@ -1425,11 +1566,17 @@ func (p *Processor) deliverChunk(seq uint64, c *chunk) {
 		// sequenced copies come back; deliveries arrive in forward order,
 		// so each own delivery acknowledges the pending head. Chunks the
 		// classic path sequenced were popped at send time and never match.
-		if head, ok := p.pending.Peek(); ok && head.MsgID == c.MsgID && head.FragIdx == c.FragIdx {
+		if head, ok := p.pending.Peek(); ok && head.Sender == c.Sender && head.MsgID == c.MsgID && head.FragIdx == c.FragIdx {
 			p.pending.Pop()
 			p.headFseq++
 			if p.fwdCount > 0 {
 				p.fwdCount--
+				// The head chunk rode the oldest frame in the window.
+				if f, ok := p.fwdFrames.Peek(); ok && f > 1 {
+					*p.fwdFrames.At(0) = f - 1
+				} else {
+					p.fwdFrames.Pop()
+				}
 			}
 			p.mPending.Set(int64(p.pending.Len()))
 		}
@@ -1576,11 +1723,13 @@ func (p *Processor) handleForm(f *formMsg, now time.Time) {
 	if !slices.Contains(f.Members, p.addr) {
 		return
 	}
-	if p.state == stateOperational && f.Ring.Epoch <= p.ring.Epoch {
+	if f.Ring.Epoch <= p.ring.Epoch {
+		// A form no newer than the last ring we installed: our own
+		// broadcast echoed back, or one delayed past a reformation. Even
+		// while gathering it must not be installed — re-installing a ring
+		// we already left would reset the sequence space under an
+		// identity whose sequence numbers already carried messages.
 		return
-	}
-	if f.Ring.Rep == p.addr && p.state == stateOperational && f.Ring == p.ring {
-		return // our own broadcast echoed back
 	}
 	p.installRing(f, now)
 }
@@ -1611,14 +1760,27 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 	// drain through whichever path the new ring uses. A chunk the old
 	// leader sequenced whose delivery is still in flight can be sequenced
 	// a second time this way; the replication layer's duplicate filter
-	// absorbs it (see DESIGN.md).
+	// absorbs it (see DESIGN.md). Forwards an old leader accepted but had
+	// not sequenced are dropped here: their senders still hold them and
+	// re-offer them on the new ring.
+	for n := p.pending.Len(); n > 0; n-- {
+		if c, _ := p.pending.Pop(); c.Sender == p.addr {
+			p.pending.Push(c)
+		}
+	}
+	p.mPending.Set(int64(p.pending.Len()))
 	p.fastPath = p.cfg.FastPath.enabled(len(p.members))
 	p.leader = f.Ring.Rep
 	p.headFseq = 1
 	p.fwdCount = 0
+	for p.fwdFrames.Len() > 0 {
+		p.fwdFrames.Pop()
+	}
 	p.lastFwdAt = time.Time{}
+	p.retryHead = 0
 	p.fwdMarks = make(map[string]uint64)
 	p.fwdHeld = make(map[string]map[uint64]*forwardMsg)
+	p.peerAru = make(map[string]uint64, len(p.members))
 	p.miss = make(map[uint64]int)
 	if f.Ring.Epoch > p.maxEpoch {
 		p.maxEpoch = f.Ring.Epoch
@@ -1650,6 +1812,20 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 		for sender := range p.reasm {
 			if !slices.Contains(p.members, sender) {
 				delete(p.reasm, sender)
+			}
+		}
+	}
+	p.rtrHorizon = f.StartSeq
+	for p.rtrMarks.Len() > 0 {
+		p.rtrMarks.Pop()
+	}
+	p.aruReported = p.myAru
+	if p.fastPath && f.Ring.Rep == p.addr {
+		// The leader window starts at the leader's own aru; tokens and
+		// forwards refresh each follower's entry from there.
+		for _, m := range p.members {
+			if m != p.addr {
+				p.peerAru[m] = p.myAru
 			}
 		}
 	}
@@ -1734,12 +1910,17 @@ func (p *Processor) onTick(now time.Time) {
 			ann := announceMsg{Ring: p.ring}
 			p.bcastMsg(&ann)
 		}
-		if p.fastPath && p.addr != p.leader && p.pending.Len() > 0 &&
-			now.Sub(p.lastFwdAt) >= p.cfg.TokenResend {
-			// Forward retry, cumulative from the un-acknowledged head so
-			// the leader's in-order window can fill any gap a lost
-			// forward frame left.
-			p.forwardPending(now, 0)
+		if p.fastPath && p.addr != p.leader && p.fwdCount > 0 {
+			if p.headFseq != p.retryHead {
+				// The head moved: restart the retry clock on the new head.
+				p.retryHead = p.headFseq
+				p.lastFwdAt = now
+			} else if now.Sub(p.lastFwdAt) >= p.cfg.TokenResend {
+				// Forward retry of the window, from the un-acknowledged
+				// head so the leader's in-order acceptance can fill any
+				// gap a lost forward frame left.
+				p.forwardPending(now, 0)
+			}
 		}
 		if p.parkedToken != nil {
 			if !now.Before(p.parkedUntil) {

@@ -97,13 +97,16 @@ type hurryMsg struct {
 // immediate sequencing (the LLFT-style leader-ordered fast path). Start
 // is the per-ring forward sequence number of the first chunk and the
 // chunks are consecutive, so the leader's per-sender in-order acceptance
-// window filters duplicates and rejects out-of-order arrivals, which the
-// follower's cumulative retry then fills. Flags carries one octet per
-// chunk (bit 0: background traffic that must not cancel idle pacing).
+// filters duplicates and parks out-of-order arrivals until the gap fills
+// (from the follower's retry, if the gap was a loss). Aru is the
+// sender's all-received-up-to at sending time, a fresher anchor for the
+// leader window than the token's. Flags carries one octet per chunk
+// (bit 0: background traffic that must not cancel idle pacing).
 type forwardMsg struct {
 	Ring   ringIdentity
 	Sender string
 	Start  uint64
+	Aru    uint64
 	Flags  []byte
 	Chunks []chunk
 }
@@ -228,8 +231,8 @@ const (
 	packedChunkOverhead = 48
 	// fwdFrameOverhead bounds a forward frame's header beyond the sender
 	// and representative names: type octet, ring identity, start forward
-	// sequence, flags sequence and chunk count.
-	fwdFrameOverhead = 64
+	// sequence, aru and chunk count.
+	fwdFrameOverhead = 72
 )
 
 // wireCost conservatively bounds the bytes c adds to a packed frame.
@@ -295,6 +298,7 @@ func (m *forwardMsg) encodeTo(e *cdr.Encoder) {
 	encodeRing(e, m.Ring)
 	e.WriteString(m.Sender)
 	e.WriteULongLong(m.Start)
+	e.WriteULongLong(m.Aru)
 	e.WriteULong(uint32(len(m.Chunks)))
 	for i := range m.Chunks {
 		var f byte
@@ -464,6 +468,9 @@ func decodePacket(buf []byte) (any, error) {
 			break
 		}
 		if m.Start, err = d.ReadULongLong(); err != nil {
+			break
+		}
+		if m.Aru, err = d.ReadULongLong(); err != nil {
 			break
 		}
 		var n uint32

@@ -93,6 +93,16 @@ func TestWireCostBoundsEncodedSize(t *testing.T) {
 					rep, len(frame.Chunks), got, estimate)
 			}
 		}
+		// A forward frame of the same chunks stays within the bound
+		// forwardPending splits on.
+		fwd := &forwardMsg{Ring: frame.Ring, Sender: rep, Start: 1, Aru: 1, Chunks: frame.Chunks, Flags: make([]byte, len(frame.Chunks))}
+		estimate = fwdFrameOverhead + len(rep) + len(rep)
+		for i := range fwd.Chunks {
+			estimate += fwd.Chunks[i].wireCost()
+		}
+		if got := len(encodeMsg(fwd)); got > estimate {
+			t.Fatalf("rep=%q forward frame: encoded %d bytes > estimate %d", rep, got, estimate)
+		}
 	}
 }
 
@@ -113,6 +123,9 @@ func TestAllMessageTypesRoundTrip(t *testing.T) {
 		&joinMsg{Sender: "a", Alive: []string{"a", "b"}, PrevRing: ringIdentity{1, "a"}, HighSeq: 10, MaxEpoch: 2},
 		&formMsg{Ring: ringIdentity{2, "a"}, Members: []string{"a", "b"}, Lineage: ringIdentity{1, "a"}, StartSeq: 10},
 		&announceMsg{Ring: ringIdentity{2, "a"}},
+		&hurryMsg{Ring: ringIdentity{2, "a"}, Origin: "b"},
+		&forwardMsg{Ring: ringIdentity{2, "a"}, Sender: "b", Start: 5, Aru: 9, Flags: []byte{0, fwdFlagBackground},
+			Chunks: []chunk{{Sender: "b", MsgID: 3, FragTotal: 1, Payload: []byte("x")}, {Sender: "b", MsgID: 4, FragTotal: 1, Payload: []byte{}}}},
 	}
 	for _, in := range msgs {
 		got, err := decodePacket(encodeMsg(in))

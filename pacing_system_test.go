@@ -156,7 +156,7 @@ func TestFirstInvocationAfterIdleLatency(t *testing.T) {
 }
 
 // TestFastPathFallbackKillRecoverAuditClean is the chaos case for the
-// leader fast path (forced on for the 4-member ring): a replica
+// leader fast path (the default on the 4-member ring): a replica
 // kill/recover pushes a state transfer through leader-ordered
 // sequencing, then crashing the leader node itself forces the fallback
 // — the survivors reform under a new leader and keep writing, including
@@ -165,7 +165,7 @@ func TestFirstInvocationAfterIdleLatency(t *testing.T) {
 // node: the speculative leader ordering never produced divergence.
 func TestFastPathFallbackKillRecoverAuditClean(t *testing.T) {
 	const auditInterval = 100 * time.Millisecond
-	sys := pacedSystem(t, time.Millisecond, totem.FastPathOn, auditInterval, "c1", "c2", "c3", "c4")
+	sys := pacedSystem(t, time.Millisecond, totem.FastPathAuto, auditInterval, "c1", "c2", "c3", "c4")
 	if err := sys.CreateGroup(eternal.GroupSpec{
 		Name: "reg", TypeName: "Register",
 		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 2},
