@@ -56,6 +56,11 @@ type dispatchItem struct {
 	// passive primary). When false for itemRequest, the invocation is
 	// logged instead (passive backup).
 	execute bool
+	// holdReply marks an invocation whose reply is a backup copy: the
+	// fast-path leader hosts an operational replica too and answers
+	// first, so this replica's reply may be held back and withdrawn
+	// (see Node.multicastReply).
+	holdReply bool
 	// bundle for itemApplyCheckpoint.
 	bundle *recovery.Bundle
 	// xferID for itemCapture.
@@ -235,7 +240,7 @@ func (h *replicaHost) process(item dispatchItem) {
 		h.node.tracer.Hop(item.env.Trace, h.node.addr, obs.HopDelivered)
 		h.node.spans.Mark(item.env.Trace, obs.SpanDelivered)
 		if item.execute {
-			h.executeRequest(item.env, false)
+			h.executeRequest(item.env, false, item.holdReply)
 			if h.style != ftcorba.Active {
 				// The primary executes rather than logs, but its message
 				// count still drives the every-N checkpoint trigger.
@@ -298,7 +303,7 @@ func (h *replicaHost) auditReport(epoch uint64) {
 // executeRequest injects one invocation into the replica's ORB and
 // multicasts the reply. force bypasses duplicate suppression during log
 // replay (the log was already deduplicated when written).
-func (h *replicaHost) executeRequest(env *replication.Envelope, force bool) {
+func (h *replicaHost) executeRequest(env *replication.Envelope, force, holdReply bool) {
 	first := h.reqFilter.FirstDelivery(env.Conn, env.OpID)
 	if !first && !force {
 		h.node.counters.duplicatesSuppressed.Add(1)
@@ -334,13 +339,13 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force bool) {
 		}
 		if rep.Type == giop.MsgReply {
 			h.node.spans.Mark(env.Trace, obs.SpanExecuted)
-			h.node.multicast(&replication.Envelope{
+			h.node.multicastReply(&replication.Envelope{
 				Kind:    replication.KReply,
 				Conn:    env.Conn,
 				OpID:    env.OpID,
 				Trace:   env.Trace,
 				Payload: rep.Marshal(),
-			})
+			}, holdReply)
 			h.node.tracer.Hop(env.Trace, h.node.addr, obs.HopExecuted)
 			return
 		}
@@ -640,7 +645,7 @@ func (h *replicaHost) promote() {
 	}
 	replayed := h.log.Len()
 	h.log.Each(func(env *replication.Envelope) {
-		h.executeRequest(env, true)
+		h.executeRequest(env, true, false)
 	})
 	// Reset in place: the Log pointer stays valid for the delivery loop's
 	// concurrent CheckpointDue polls, and the policy/instrumentation

@@ -259,6 +259,7 @@ func (n *Node) handleEnvelope(seq uint64, env *replication.Envelope) {
 		n.handleRequest(seq, env)
 	case replication.KReply:
 		n.spans.MarkOpen(env.Trace, obs.SpanReplyOrdered)
+		n.settleReply(env)
 		if ce := n.clientEntityIfExists(env.Conn.Client); ce != nil {
 			ce.deliverReply(env)
 		}
@@ -312,7 +313,24 @@ func (n *Node) handleRequest(seq uint64, env *replication.Envelope) {
 		// Passive replication: only the primary executes; backups log.
 		execute = g.IsPrimary(n.addr)
 	}
-	h.q.push(dispatchItem{kind: itemRequest, env: env, execute: execute})
+	h.q.push(dispatchItem{kind: itemRequest, env: env, execute: execute, holdReply: n.leaderAnswers(g)})
+}
+
+// leaderAnswers reports whether this node's replica of g gives backup
+// replies: g is actively replicated and, under leader ordering, the
+// leader — another node — hosts an operational replica of it. The
+// leader delivers every request first, so its replica answers first.
+func (n *Node) leaderAnswers(g *replication.Group) bool {
+	leader := n.proc.Leader()
+	if g.Spec.Props.Style != ftcorba.Active || leader == "" || leader == n.addr {
+		return false
+	}
+	for _, m := range g.Members {
+		if m.Node == leader {
+			return m.State == replication.MemberOperational
+		}
+	}
+	return false
 }
 
 func (n *Node) handleCreate(seq uint64, env *replication.Envelope) {

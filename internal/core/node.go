@@ -152,6 +152,17 @@ type Node struct {
 
 	xferCounter atomic.Uint64
 
+	// repliesMu guards the backup-reply bookkeeping (see multicastReply):
+	// replyKeys holds the withdrawal key of every backup reply this node
+	// has multicast and not yet seen delivered, answered the operations
+	// whose reply was delivered before this node's replica produced its
+	// own. Replicas' dispatch goroutines consume entries; the loop adds
+	// answered ones and settles keys.
+	repliesMu   sync.Mutex
+	replyKeys   map[replyOp]uint64
+	answered    map[replyOp]bool
+	replyKeySeq uint64
+
 	// Chunked state-transfer egress: captures enqueue outbound transfers
 	// here and the single streaming goroutine paces them onto the ring
 	// (FIFO, so each manifest follows its own chunks).
@@ -667,6 +678,75 @@ func (n *Node) multicast(env *replication.Envelope) {
 		_ = n.proc.Multicast(enc.Bytes())
 	}
 	cdr.ReleaseEncoder(enc)
+}
+
+// replyOp names one operation's reply: every replica's copy carries the
+// same logical connection and operation id.
+type replyOp struct {
+	conn replication.ConnID
+	op   uint32
+}
+
+// maxTrackedReplies bounds replyKeys and answered. An entry nobody
+// consumes (a reply whose sender left the ring first, an operation the
+// local replica never executes) would otherwise stay forever; past the
+// bound a map is dropped, which only forgoes some withdrawals.
+const maxTrackedReplies = 1 << 14
+
+// multicastReply multicasts a replica's reply. A backup copy (hold) —
+// one the fast-path leader's replica answers first — is not multicast at
+// all when that answer has already been delivered, and is otherwise
+// submitted under a withdrawal key, so the totem layer may hold it back
+// and drop it once the answer is delivered (settleReply).
+func (n *Node) multicastReply(env *replication.Envelope, hold bool) {
+	var key uint64
+	if hold {
+		op := replyOp{env.Conn, env.OpID}
+		n.repliesMu.Lock()
+		if n.answered[op] {
+			delete(n.answered, op)
+			n.repliesMu.Unlock()
+			n.counters.repliesSkipped.Add(1)
+			return
+		}
+		if n.replyKeys == nil || len(n.replyKeys) >= maxTrackedReplies {
+			n.replyKeys = make(map[replyOp]uint64)
+		}
+		n.replyKeySeq++
+		key = n.replyKeySeq
+		n.replyKeys[op] = key
+		n.repliesMu.Unlock()
+	}
+	enc := cdr.AcquireEncoder(cdr.BigEndian)
+	env.EncodeTo(enc)
+	_ = n.proc.MulticastReply(enc.Bytes(), env.Trace, key)
+	cdr.ReleaseEncoder(enc)
+}
+
+// settleReply runs at the delivery of any replica's reply: this node's
+// own copy of the same reply, if it has not left the node yet, is now a
+// duplicate every receiver would discard, so it is withdrawn. The
+// delivered copy is already in the total order at every member, so
+// withdrawing never loses a reply; when the delivered copy is this
+// node's own, there is nothing left to withdraw.
+func (n *Node) settleReply(env *replication.Envelope) {
+	op := replyOp{env.Conn, env.OpID}
+	n.repliesMu.Lock()
+	key, ok := n.replyKeys[op]
+	if ok {
+		delete(n.replyKeys, op)
+	} else if g, found := n.table.Get(env.Conn.Group); found && n.hosts[env.Conn.Group] != nil && n.leaderAnswers(g) {
+		// Our replica has not answered yet: when it does, its reply is
+		// already redundant.
+		if n.answered == nil || len(n.answered) >= maxTrackedReplies {
+			n.answered = make(map[replyOp]bool)
+		}
+		n.answered[op] = true
+	}
+	n.repliesMu.Unlock()
+	if ok {
+		n.proc.Withdraw(key)
+	}
 }
 
 // subscribe returns a channel closed when key is signaled. A key already

@@ -23,6 +23,11 @@ type Stats struct {
 	RepliesDelivered uint64
 	// DuplicateReplies counts replies suppressed at client connections.
 	DuplicateReplies uint64
+	// RepliesSkipped counts backup replies (see Node.multicastReply) a
+	// local replica never multicast, because another replica's answer was
+	// delivered before this one produced its own; the totem layer counts
+	// the ones it withdrew after submission (totem.Stats.Withdrawn).
+	RepliesSkipped uint64
 	// StateCaptures counts get_state() captures performed as donor or
 	// checkpointing primary.
 	StateCaptures uint64
@@ -75,6 +80,7 @@ type nodeCounters struct {
 	duplicatesSuppressed *obs.Counter
 	repliesDelivered     *obs.Counter
 	duplicateReplies     *obs.Counter
+	repliesSkipped       *obs.Counter
 	stateCaptures        *obs.Counter
 	stateApplied         *obs.Counter
 	promotions           *obs.Counter
@@ -99,6 +105,7 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		duplicatesSuppressed: r.Counter("eternal_duplicates_suppressed_total", "invocations dropped by operation-id filtering"),
 		repliesDelivered:     r.Counter("eternal_replies_delivered_total", "replies written into local client ORBs"),
 		duplicateReplies:     r.Counter("eternal_duplicate_replies_total", "replies suppressed at client connections"),
+		repliesSkipped:       r.Counter("eternal_replies_skipped_total", "backup replies never multicast: another replica's answer was delivered first"),
 		stateCaptures:        r.Counter("eternal_state_captures_total", "get_state() captures performed as donor or checkpointing primary"),
 		stateApplied:         r.Counter("eternal_state_applied_total", "set_state() assignments performed"),
 		promotions:           r.Counter("eternal_promotions_total", "backup-to-primary promotions"),
@@ -124,6 +131,7 @@ func (c *nodeCounters) snapshot() Stats {
 		DuplicatesSuppressed:    c.duplicatesSuppressed.Value(),
 		RepliesDelivered:        c.repliesDelivered.Value(),
 		DuplicateReplies:        c.duplicateReplies.Value(),
+		RepliesSkipped:          c.repliesSkipped.Value(),
 		StateCaptures:           c.stateCaptures.Value(),
 		StateApplied:            c.stateApplied.Value(),
 		Promotions:              c.promotions.Value(),

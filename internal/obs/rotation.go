@@ -80,20 +80,6 @@ func (l *RotationLog) Record(s TokenRotation) {
 	l.mu.Unlock()
 }
 
-// AmendLast lets f update the most recent sample in place — for work a
-// visit does after its sample was recorded (a parked token's drain on
-// release). A nil or empty log is ignored.
-func (l *RotationLog) AmendLast(f func(*TokenRotation)) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	if l.n > 0 {
-		f(&l.buf[(l.head+l.n-1)%len(l.buf)])
-	}
-	l.mu.Unlock()
-}
-
 // Last returns up to max most recent samples, oldest first (all when
 // max <= 0).
 func (l *RotationLog) Last(max int) []TokenRotation {

@@ -233,10 +233,4 @@ func TestRotationLog(t *testing.T) {
 	if got := l.Last(2); len(got) != 2 || got[0].Round != 5 || got[1].Round != 6 {
 		t.Fatalf("Last(2) = %+v, want rounds 5,6", got)
 	}
-	l.AmendLast(func(r *TokenRotation) { r.ChunksSent += 3 })
-	if got := l.Last(2); got[0].ChunksSent != 0 || got[1].ChunksSent != 3 {
-		t.Fatalf("AmendLast touched %+v, want only round 6 with 3 chunks", got)
-	}
-	nilLog.AmendLast(func(*TokenRotation) { t.Fatal("nil log amended") })
-	NewRotationLog(4).AmendLast(func(*TokenRotation) { t.Fatal("empty log amended") })
 }

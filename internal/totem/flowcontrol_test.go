@@ -178,9 +178,12 @@ func TestSustainedLoadLeaderOrdering(t *testing.T) {
 			}
 			close(stop)
 			wg.Wait()
+			// The ring carries tens of thousands of messages a second;
+			// one per 2ms of load, a floor even the race detector on a
+			// slow host clears, shows the submitters were not stalled.
 			total := sent[0] + sent[1]
-			if total < 1000 {
-				t.Fatalf("only %d messages submitted under load", total)
+			if floor := int(load / (2 * time.Millisecond)); total < floor {
+				t.Fatalf("only %d messages submitted in %v of load, want >= %d", total, load, floor)
 			}
 
 			deadline := time.Now().Add(10 * time.Second)
@@ -422,5 +425,65 @@ func TestStaleFormIgnoredWhileGathering(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("a never formed its singleton ring")
 		}
+	}
+}
+
+// TestFollowerHoldsBackupReplies covers keyed replies (MulticastReply):
+// a fast-path follower holds one back, drops it unsent when it is
+// withdrawn, and otherwise forwards it once it has been held past a full
+// rotation and rtrDelay — behind a message submitted after it. The leader
+// never holds one back.
+func TestFollowerHoldsBackupReplies(t *testing.T) {
+	// A long hold (TokenResend/4 = 25ms) leaves the test time to withdraw.
+	slowResend := func(tr Transport) Config {
+		cfg := fastConfig(tr)
+		cfg.TokenLossTimeout = 400 * time.Millisecond
+		return cfg
+	}
+	procs := startRing(t, simnet.New(simnet.Config{}), slowResend, "a", "b")
+	leader, follower := procs[0], procs[1]
+	if leader.Leader() != "a" || follower.Leader() != "a" {
+		t.Fatalf("leaders %q and %q, want a", leader.Leader(), follower.Leader())
+	}
+	recA, recB := record(leader, 16), record(follower, 16)
+	await := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for len(recA.snapshot()) < n || len(recB.snapshot()) < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("delivered %v and %v, want %d each", recA.snapshot(), recB.snapshot(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	submit := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	submit(follower.MulticastReply([]byte("withdrawn"), 0, 1))
+	submit(follower.MulticastReply([]byte("released"), 0, 2))
+	// Submissions are taken in order, so once this one is delivered both
+	// replies are held.
+	submit(follower.Multicast([]byte("plain")))
+	await(1)
+	follower.Withdraw(1)
+	submit(leader.MulticastReply([]byte("leader"), 0, 3))
+	leader.Withdraw(3)
+	await(3)
+	time.Sleep(100 * time.Millisecond) // four hold periods: nothing else comes
+	want := []string{"b/plain", "a/leader", "b/released"}
+	for _, r := range []*recorder{recA, recB} {
+		if got := r.snapshot(); !slices.Equal(got, want) {
+			t.Fatalf("delivered %v, want %v", got, want)
+		}
+	}
+	if w := follower.Stats().Withdrawn; w != 1 {
+		t.Fatalf("follower withdrew %d replies, want 1", w)
+	}
+	if w := leader.Stats().Withdrawn; w != 0 {
+		t.Fatalf("leader withdrew %d replies, want 0", w)
 	}
 }

@@ -151,6 +151,10 @@ type Stats struct {
 	// flight to the fast-path leader, with chunks not yet delivered, at
 	// one time (the follower window, at most maxHeldForwards).
 	ForwardWindowPeak uint64
+	// Withdrawn counts replies a fast-path follower held back and then
+	// dropped, because another replica's copy was delivered first (see
+	// MulticastReply).
+	Withdrawn uint64
 }
 
 // PackingFlag is a three-valued toggle whose zero value means "on", so
@@ -427,10 +431,9 @@ type Processor struct {
 	// fwdCount the number of chunks (from the head) forwarded and not yet
 	// delivered, and fwdFrames the chunk counts of the forward frames
 	// carrying them, oldest first — at most maxHeldForwards frames, the
-	// follower window. lastFwdAt starts the retry
-	// clock: it is reset when the head is (re)sent or moves (retryHead
-	// remembers where the head was), never by later forwards, so steady
-	// submissions cannot postpone the retry of a lost head. The leader's
+	// follower window. lastFwdAt starts the retry clock: it is reset when
+	// the head is (re)sent or delivered, never by later forwards, so
+	// steady submissions cannot postpone the retry of a lost head. The leader's
 	// fwdMarks holds the per-sender in-order acceptance watermark, fwdHeld
 	// parks frames that arrived ahead of a gap (the medium reorders
 	// back-to-back unicasts) until the gap fills, and peerAru holds the
@@ -442,10 +445,23 @@ type Processor struct {
 	fwdCount  int
 	fwdFrames ring.Buffer[int]
 	lastFwdAt time.Time
-	retryHead uint64
 	fwdMarks  map[string]uint64
 	fwdHeld   map[string]map[uint64]*forwardMsg
 	peerAru   map[string]uint64
+
+	// Held replies (see MulticastReply): held keeps a follower's keyed
+	// replies, in submission order, until a token visit finds them older
+	// than the previous visit; withdrawable maps each held reply's key to
+	// its message id, and a reply missing from it has been withdrawn.
+	// follower mirrors "fast path on and not the leader" for Withdraw,
+	// which runs on callers' goroutines; withdrawQ holds the keys
+	// withdrawn since the run goroutine last looked (under withdrawMu).
+	held         ring.Buffer[chunk]
+	withdrawable map[uint64]uint64
+	follower     atomic.Bool
+	leaderName   atomic.Pointer[string]
+	withdrawMu   sync.Mutex
+	withdrawQ    []uint64
 
 	// aruReported is the aru a follower last sent the leader, on a
 	// forward frame or a bare report (see reportAru).
@@ -475,6 +491,7 @@ type Processor struct {
 	nFwdChunks  atomic.Uint64
 	nGCSeq      atomic.Uint64
 	nFwdPeak    atomic.Uint64
+	nWithdrawn  atomic.Uint64
 
 	// Metrics export (nil-safe via a private registry when unconfigured).
 	mPktsIn   *obs.Counter
@@ -504,12 +521,14 @@ type Processor struct {
 // submission is one application message queued for the run goroutine:
 // its pre-fragmented chunks plus the span-tracing metadata. background
 // marks low-urgency control traffic (audit marks and reports) that rides
-// the paced token instead of waking it.
+// the paced token instead of waking it; a nonzero key marks a backup reply
+// (see MulticastReply).
 type submission struct {
 	chunks     [][]byte
 	trace      uint64
 	reply      bool
 	background bool
+	key        uint64
 }
 
 // sendMeta is what the processor remembers about a locally originated
@@ -519,6 +538,7 @@ type sendMeta struct {
 	trace      uint64
 	reply      bool
 	background bool
+	key        uint64
 }
 
 // Start creates a processor on the given transport and begins gathering
@@ -536,20 +556,21 @@ func Start(cfg Config) (*Processor, error) {
 		return nil, fmt.Errorf("%w: %d", ErrMTUTooSmall, cfg.Transport.MTU())
 	}
 	p := &Processor{
-		cfg:        cfg,
-		tr:         cfg.Transport,
-		addr:       addr,
-		submitCh:   make(chan submission, 256),
-		closeCh:    make(chan struct{}),
-		done:       make(chan struct{}),
-		deliveries: newPump[Delivery](),
-		views:      newPump[Membership](),
-		store:      make(map[uint64]*dataMsg),
-		reasm:      make(map[string]*partial),
-		miss:       make(map[uint64]int),
-		joinInfo:   make(map[string]joinRecord),
-		sendTimes:  make(map[uint64]sendMeta),
-		packing:    cfg.Packing.Enabled(),
+		cfg:          cfg,
+		tr:           cfg.Transport,
+		addr:         addr,
+		submitCh:     make(chan submission, 256),
+		closeCh:      make(chan struct{}),
+		done:         make(chan struct{}),
+		deliveries:   newPump[Delivery](),
+		views:        newPump[Membership](),
+		store:        make(map[uint64]*dataMsg),
+		reasm:        make(map[string]*partial),
+		miss:         make(map[uint64]int),
+		joinInfo:     make(map[string]joinRecord),
+		sendTimes:    make(map[uint64]sendMeta),
+		withdrawable: make(map[uint64]uint64),
+		packing:      cfg.Packing.Enabled(),
 	}
 	if cfg.RotationCapacity >= 0 {
 		p.rotations = obs.NewRotationLog(cfg.RotationCapacity)
@@ -591,6 +612,7 @@ func (p *Processor) registerMetrics(r *obs.Registry) {
 		{"eternal_totem_paced_hops_total", "token hops parked for idle pacing before forwarding", &p.nPacedHops},
 		{"eternal_totem_fastpath_chunks_total", "chunks the fast-path leader sequenced immediately, without a token visit", &p.nFastChunks},
 		{"eternal_totem_fastpath_forwards_total", "chunks forwarded to the fast-path leader for sequencing (including retries)", &p.nFwdChunks},
+		{"eternal_totem_withdrawn_total", "replies a fast-path follower held back and withdrew before they left it", &p.nWithdrawn},
 	} {
 		v := c.v
 		r.CounterFunc(c.name, c.help, func() float64 { return float64(v.Load()) })
@@ -632,6 +654,7 @@ func (p *Processor) Stats() Stats {
 		ForwardedChunks:   p.nFwdChunks.Load(),
 		GCSeq:             p.nGCSeq.Load(),
 		ForwardWindowPeak: p.nFwdPeak.Load(),
+		Withdrawn:         p.nWithdrawn.Load(),
 	}
 }
 
@@ -657,7 +680,7 @@ func (p *Processor) Multicast(payload []byte) error {
 // triggering a hurry nudge, so a quiescent ring stays paced across audit
 // epochs. Ordering and reliability guarantees are identical.
 func (p *Processor) MulticastBackground(payload []byte) error {
-	return p.submit(payload, 0, false, true)
+	return p.submit(payload, 0, false, true, 0)
 }
 
 // MulticastTraced is Multicast carrying span-tracing metadata: the
@@ -665,10 +688,53 @@ func (p *Processor) MulticastBackground(payload []byte) error {
 // so the configured span recorder can stamp the enqueue and transmit
 // phases under the right name.
 func (p *Processor) MulticastTraced(payload []byte, trace uint64, reply bool) error {
-	return p.submit(payload, trace, reply, false)
+	return p.submit(payload, trace, reply, false, 0)
 }
 
-func (p *Processor) submit(payload []byte, trace uint64, reply, background bool) error {
+// MulticastReply is MulticastTraced for a replica's reply. A nonzero key
+// marks the reply as a backup copy: under active replication every
+// replica answers and receivers keep the first copy in the total order,
+// and when the fast-path leader hosts a replica too, its copy is
+// sequenced first. A fast-path follower therefore holds a keyed reply
+// back for a full token rotation instead of forwarding it at once; if
+// Withdraw names the key meanwhile (another replica's copy was
+// delivered), the reply is dropped unsent. A held reply that is not
+// withdrawn is forwarded behind whatever this member submitted after it,
+// so keyed replies are exempt from per-sender FIFO order. Everywhere
+// else, and with key 0, MulticastReply is MulticastTraced.
+func (p *Processor) MulticastReply(payload []byte, trace, key uint64) error {
+	return p.submit(payload, trace, true, false, key)
+}
+
+// Leader returns the fast-path leader of the current ring, or "" while
+// the ring orders on the token alone.
+func (p *Processor) Leader() string {
+	if l := p.leaderName.Load(); l != nil {
+		return *l
+	}
+	return ""
+}
+
+// Withdraw drops the reply submitted under key if this member still holds
+// it back (see MulticastReply); otherwise it does nothing. Withdrawal is
+// best effort: a reply already forwarded is ordered and delivered as
+// usual, and receivers discard it as a duplicate.
+func (p *Processor) Withdraw(key uint64) {
+	if !p.follower.Load() {
+		return
+	}
+	p.withdrawMu.Lock()
+	if len(p.withdrawQ) < maxWithdrawQueue {
+		p.withdrawQ = append(p.withdrawQ, key)
+	}
+	p.withdrawMu.Unlock()
+}
+
+// maxWithdrawQueue bounds the withdrawals waiting for the run goroutine;
+// past it, further withdrawals are ignored (the replies are sent).
+const maxWithdrawQueue = 4096
+
+func (p *Processor) submit(payload []byte, trace uint64, reply, background bool, key uint64) error {
 	chunkSize := p.tr.MTU() - fragMargin - len(p.addr)
 	// One defensive copy of the whole payload; chunks are subslices of it
 	// rather than per-chunk allocations.
@@ -683,7 +749,7 @@ func (p *Processor) submit(payload []byte, trace uint64, reply, background bool)
 		chunks = append(chunks, buf[off:end:end])
 	}
 	select {
-	case p.submitCh <- submission{chunks: chunks, trace: trace, reply: reply, background: background}:
+	case p.submitCh <- submission{chunks: chunks, trace: trace, reply: reply, background: background, key: key}:
 		p.nMulticasts.Add(1)
 		return nil
 	case <-p.done:
@@ -720,14 +786,17 @@ func (p *Processor) run() {
 		case <-p.closeCh:
 			return
 		case sub := <-p.submitCh:
-			// Take every submission already queued behind this one, so a
-			// burst is sequenced (and packed) as one batch.
 			p.enqueue(sub)
 			background := sub.background
-			for n := len(p.submitCh); n > 0; n-- {
-				sub = <-p.submitCh
-				p.enqueue(sub)
-				background = background && sub.background
+			if p.fastPath {
+				// Leader ordering sequences on the submit path: take the
+				// submissions already queued behind this one first, so a
+				// burst is sequenced (and packed) as one batch.
+				for n := len(p.submitCh); n > 0; n-- {
+					sub = <-p.submitCh
+					p.enqueue(sub)
+					background = background && sub.background
+				}
 			}
 			p.kick(background, time.Now())
 		case pkt, ok := <-p.tr.Recv():
@@ -745,16 +814,25 @@ func (p *Processor) enqueue(sub submission) {
 	p.msgID++
 	id := p.msgID
 	total := uint32(len(sub.chunks))
+	held := sub.key != 0 && p.state == stateOperational && p.fastPath && p.addr != p.leader
 	for i, c := range sub.chunks {
-		p.pending.Push(chunk{
+		ch := chunk{
 			Sender:    p.addr,
 			MsgID:     id,
 			FragIdx:   uint32(i),
 			FragTotal: total,
 			Payload:   c,
-		})
+		}
+		if held {
+			p.held.Push(ch)
+		} else {
+			p.pending.Push(ch)
+		}
 	}
-	p.sendTimes[id] = sendMeta{at: time.Now(), trace: sub.trace, reply: sub.reply, background: sub.background}
+	if held {
+		p.withdrawable[sub.key] = id
+	}
+	p.sendTimes[id] = sendMeta{at: time.Now(), trace: sub.trace, reply: sub.reply, background: sub.background, key: sub.key}
 	if sub.trace != 0 {
 		if sub.reply {
 			p.cfg.Spans.MarkOpen(sub.trace, obs.SpanReplyEnqueued)
@@ -884,7 +962,7 @@ func (p *Processor) handleData(m *dataMsg, now time.Time) {
 // past its last report, so the window advances even while the follower
 // has nothing to forward.
 func (p *Processor) reportAru() {
-	if p.fastPath && p.addr != p.leader && p.myAru >= p.aruReported+p.leaderWindow()/4 {
+	if p.fastPath && p.addr != p.leader && p.myAru >= p.aruReported+leaderWindow/4 {
 		p.aruReported = p.myAru
 		p.sendMsg(p.leader, &forwardMsg{Ring: p.ring, Sender: p.addr, Aru: p.myAru})
 	}
@@ -999,6 +1077,14 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	pendingBefore := p.pending.Len()
 	var sent, fgSent int
 	if p.fastPath && p.addr != p.leader {
+		// A held reply still not withdrawn after a full rotation and
+		// rtrDelay is forwarded: the replica expected to answer first
+		// has not (its copy would have arrived by then).
+		cutoff := now.Add(-p.rtrDelay())
+		if prevVisit.Before(cutoff) {
+			cutoff = prevVisit
+		}
+		p.releaseHeld(cutoff)
 		p.pumpForwards(now)
 	} else {
 		if fastLeader {
@@ -1191,7 +1277,7 @@ func (p *Processor) fastDrain(now time.Time) {
 }
 
 // windowEnd is the highest sequence number the fast-path leader may
-// assign without a token visit: the leader window above the lowest aru
+// assign without a token visit: leaderWindow frames above the lowest aru
 // known among the followers. Followers report their aru at least every
 // quarter window they deliver (reportAru), so the window stays open while
 // they keep up; a follower that falls behind holds the leader to its
@@ -1202,19 +1288,13 @@ func (p *Processor) windowEnd() uint64 {
 	for _, a := range p.peerAru {
 		base = min(base, a)
 	}
-	return base + p.leaderWindow()
+	return base + leaderWindow
 }
 
-// leaderWindow is the leader window in frames: half a follower window
-// (maxHeldForwards frames) per two members. Every frame the leader runs
-// ahead of a lagging follower is latency that follower's own clients pay
-// twice (request and reply), so small rings keep it to half a follower
-// window; larger rings widen it so that the leader's report load — each
-// follower reports once per quarter window — stays about half a report
-// per frame whatever the ring size.
-func (p *Processor) leaderWindow() uint64 {
-	return uint64(maxHeldForwards / 2 * max(1, len(p.members)/2))
-}
+// leaderWindow is the leader window in frames: half a follower window.
+// Every frame the leader runs ahead of a lagging follower is latency that
+// follower's own clients pay twice (request and reply).
+const leaderWindow = maxHeldForwards / 2
 
 func (p *Processor) forwardToken(tok *tokenMsg, now time.Time) {
 	tok.Round++
@@ -1299,25 +1379,10 @@ func (p *Processor) releaseParked(now time.Time) {
 		if p.fastPath && p.seqHigh > tok.Seq {
 			tok.Seq = p.seqHigh
 		}
-		before, start := p.pending.Len(), time.Now()
-		sent, fgSent := p.sendPending(&tok.Seq, p.cfg.MaxPerToken, false)
-		if fgSent > 0 {
+		if _, fgSent := p.sendPending(&tok.Seq, p.cfg.MaxPerToken, false); fgSent > 0 {
 			tok.IdleHops = 0
 			p.lastActivityAt = now
 		}
-		// The drain belongs to the visit that parked the token: fold it
-		// into that visit's profile sample.
-		visit, took := p.lastTokenAt, time.Since(start)
-		p.rotations.AmendLast(func(r *obs.TokenRotation) {
-			if !r.At.Equal(visit) {
-				return
-			}
-			us := float64(took.Nanoseconds()) / 1e3
-			r.HoldUs += us
-			r.SendUs += us
-			r.ChunksSent += sent
-			r.PendingBefore, r.PendingAfter = before, p.pending.Len()
-		})
 	}
 	succ := p.successor()
 	if succ == p.addr {
@@ -1342,9 +1407,41 @@ func (p *Processor) successor() string {
 // it instead of all at once, and chunks that queue meanwhile leave packed
 // into full frames.
 func (p *Processor) pumpForwards(now time.Time) {
-	if p.fastPath && p.addr != p.leader && p.fwdCount < p.pending.Len() && p.fwdFrames.Len() < maxHeldForwards {
+	if !p.fastPath || p.addr == p.leader {
+		return
+	}
+	if p.fwdCount < p.pending.Len() && p.fwdFrames.Len() < maxHeldForwards {
 		p.forwardPending(now, p.fwdCount)
 	}
+}
+
+// releaseHeld moves the held replies submitted before cutoff onto the
+// pending queue, dropping those withdrawn meanwhile. A zero cutoff
+// releases all of them (the ring changed).
+func (p *Processor) releaseHeld(cutoff time.Time) {
+	p.withdrawMu.Lock()
+	keys := p.withdrawQ
+	p.withdrawQ = nil
+	p.withdrawMu.Unlock()
+	for _, k := range keys {
+		if id, ok := p.withdrawable[k]; ok {
+			delete(p.withdrawable, k)
+			delete(p.sendTimes, id)
+			p.nWithdrawn.Add(1)
+		}
+	}
+	for c, ok := p.held.Peek(); ok; c, ok = p.held.Peek() {
+		meta, live := p.sendTimes[c.MsgID]
+		if live && !cutoff.IsZero() && !meta.at.Before(cutoff) {
+			break
+		}
+		p.held.Pop()
+		if live {
+			delete(p.withdrawable, meta.key)
+			p.pending.Push(c)
+		}
+	}
+	p.mPending.Set(int64(p.pending.Len()))
 }
 
 // forwardPending unicasts pending chunks from position from onward to the
@@ -1367,7 +1464,6 @@ func (p *Processor) forwardPending(now time.Time, from int) {
 	}
 	if from == 0 {
 		p.lastFwdAt = now
-		p.retryHead = p.headFseq
 		for p.fwdFrames.Len() > 0 {
 			p.fwdFrames.Pop()
 		}
@@ -1569,6 +1665,8 @@ func (p *Processor) deliverChunk(seq uint64, c *chunk) {
 		if head, ok := p.pending.Peek(); ok && head.Sender == c.Sender && head.MsgID == c.MsgID && head.FragIdx == c.FragIdx {
 			p.pending.Pop()
 			p.headFseq++
+			// The head moved: restart the retry clock on the new head.
+			p.lastFwdAt = time.Now()
 			if p.fwdCount > 0 {
 				p.fwdCount--
 				// The head chunk rode the oldest frame in the window.
@@ -1771,13 +1869,20 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 	p.mPending.Set(int64(p.pending.Len()))
 	p.fastPath = p.cfg.FastPath.enabled(len(p.members))
 	p.leader = f.Ring.Rep
+	// Replies held back under the old ring go out under the new one.
+	p.releaseHeld(time.Time{})
+	p.follower.Store(p.fastPath && p.addr != p.leader)
+	if leader := p.leader; p.fastPath {
+		p.leaderName.Store(&leader)
+	} else {
+		p.leaderName.Store(nil)
+	}
 	p.headFseq = 1
 	p.fwdCount = 0
 	for p.fwdFrames.Len() > 0 {
 		p.fwdFrames.Pop()
 	}
 	p.lastFwdAt = time.Time{}
-	p.retryHead = 0
 	p.fwdMarks = make(map[string]uint64)
 	p.fwdHeld = make(map[string]map[uint64]*forwardMsg)
 	p.peerAru = make(map[string]uint64, len(p.members))
@@ -1910,17 +2015,11 @@ func (p *Processor) onTick(now time.Time) {
 			ann := announceMsg{Ring: p.ring}
 			p.bcastMsg(&ann)
 		}
-		if p.fastPath && p.addr != p.leader && p.fwdCount > 0 {
-			if p.headFseq != p.retryHead {
-				// The head moved: restart the retry clock on the new head.
-				p.retryHead = p.headFseq
-				p.lastFwdAt = now
-			} else if now.Sub(p.lastFwdAt) >= p.cfg.TokenResend {
-				// Forward retry of the window, from the un-acknowledged
-				// head so the leader's in-order acceptance can fill any
-				// gap a lost forward frame left.
-				p.forwardPending(now, 0)
-			}
+		if p.fastPath && p.addr != p.leader && p.fwdCount > 0 && now.Sub(p.lastFwdAt) >= p.cfg.TokenResend {
+			// Forward retry of the window, from the un-acknowledged head
+			// so the leader's in-order acceptance can fill any gap a lost
+			// forward frame left.
+			p.forwardPending(now, 0)
 		}
 		if p.parkedToken != nil {
 			if !now.Before(p.parkedUntil) {
